@@ -31,6 +31,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -176,7 +177,7 @@ func main() {
 }
 
 // render prints a Result in pramsim's traditional report format.
-func render(w *os.File, res *serve.Result) {
+func render(w io.Writer, res *serve.Result) {
 	sc := res.Scenario
 	if id := res.Ideal; id != nil {
 		fmt.Fprintf(w, "ideal PRAM:  %d PRAM steps, cost %d\n", id.PRAMSteps, id.Cost)
@@ -186,8 +187,10 @@ func render(w *os.File, res *serve.Result) {
 			sc.Side, m.Scheme.N, m.Scheme.Vars, m.Scheme.Alpha, sc.Q, sc.K, m.Scheme.Redundancy)
 		fmt.Fprintf(w, "mesh:        %d PRAM steps simulated in %d mesh steps\n", m.PRAMSteps, m.MeshSteps)
 		if d := m.Degradation; d != nil {
-			fmt.Fprintf(w, "degradation: %d/%d ops degraded: %d dead origins, %d lost packets, %d unrecoverable\n",
-				d.DeadOrigins+len(d.Unrecoverable), d.Ops, d.DeadOrigins, d.LostPackets, len(d.Unrecoverable))
+			// An op from a dead origin is never served, so core already
+			// lists it as unrecoverable: count each op once.
+			fmt.Fprintf(w, "degradation: %d/%d ops degraded (%d from dead origins), %d lost packets\n",
+				len(d.Unrecoverable), d.Ops, d.DeadOrigins, d.LostPackets)
 		}
 		if rs := m.Repair; rs != nil {
 			fmt.Fprintf(w, "repair:      %d module deaths, %d scrubs, %d copies rebuilt, %d residual, %d remapped, %d repair steps\n",

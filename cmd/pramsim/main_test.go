@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"flag"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"meshpram/internal/serve"
 	"meshpram/internal/sim"
 )
 
@@ -95,5 +98,38 @@ func TestScanScenarioPath(t *testing.T) {
 		if got := scanScenarioPath(tc.args); got != tc.want {
 			t.Errorf("scanScenarioPath(%v) = %q, want %q", tc.args, got, tc.want)
 		}
+	}
+}
+
+// TestRenderCountsDegradedOpsOnce renders a run with 30% dead nodes. An
+// op from a dead origin is also listed as unrecoverable, so the printed
+// degraded count must stay within the op count and cover every
+// dead-origin op.
+func TestRenderCountsDegradedOpsOnce(t *testing.T) {
+	sc := sim.DefaultScenario()
+	sc.Backend = sim.BackendMesh
+	sc.Faults = "rand:node=0.3,seed=2"
+	res, err := serve.NewRunner().Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	render(&buf, res)
+	var line string
+	for _, l := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(l, "degradation:") {
+			line = l
+		}
+	}
+	var degraded, ops, dead, lost int
+	if n, err := fmt.Sscanf(line, "degradation: %d/%d ops degraded (%d from dead origins), %d lost packets",
+		&degraded, &ops, &dead, &lost); n != 4 {
+		t.Fatalf("degradation line %q: parsed %d fields: %v", line, n, err)
+	}
+	if degraded > ops {
+		t.Errorf("%d/%d ops degraded: more degraded ops than ops", degraded, ops)
+	}
+	if dead == 0 || dead > degraded {
+		t.Errorf("%d dead-origin ops vs %d degraded: want 0 < dead ≤ degraded", dead, degraded)
 	}
 }

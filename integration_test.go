@@ -9,6 +9,7 @@ import (
 	"meshpram/internal/hmos"
 	"meshpram/internal/mpc"
 	"meshpram/internal/pram"
+	"meshpram/internal/sim"
 	"meshpram/internal/workload"
 )
 
@@ -40,7 +41,7 @@ func TestIntegrationQuickstartFlow(t *testing.T) {
 }
 
 func TestIntegrationAllProgramsOnMesh(t *testing.T) {
-	mb, err := pram.NewMesh(hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, core.Config{}, nil)
+	mb, err := pram.NewBackend(pram.BackendMesh, sim.MustNew())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,14 +58,20 @@ func TestIntegrationAllProgramsOnMesh(t *testing.T) {
 	var want pram.Word
 	for i, v := range in {
 		want += v
-		res, _ := mb.ExecStep([]pram.Op{{Kind: pram.Read, Addr: i}})
+		res, err := mb.ExecStep([]pram.Op{{Kind: pram.Read, Addr: i}})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if res[0] != want {
 			t.Fatalf("prefix[%d] = %d, want %d", i, res[0], want)
 		}
 	}
 
 	// Sorting (fresh backend: address space reuse).
-	mb2, _ := pram.NewMesh(hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, core.Config{}, nil)
+	mb2, err := pram.NewBackend(pram.BackendMesh, sim.MustNew())
+	if err != nil {
+		t.Fatal(err)
+	}
 	keys := make([]pram.Word, 24)
 	for i := range keys {
 		keys[i] = pram.Word(rng.Intn(100))
@@ -75,7 +82,10 @@ func TestIntegrationAllProgramsOnMesh(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, wv := range sorted {
-		res, _ := mb2.ExecStep([]pram.Op{{Kind: pram.Read, Addr: i}})
+		res, err := mb2.ExecStep([]pram.Op{{Kind: pram.Read, Addr: i}})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if res[0] != wv {
 			t.Fatalf("sorted[%d] = %d, want %d", i, res[0], wv)
 		}

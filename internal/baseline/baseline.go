@@ -156,7 +156,7 @@ func (b *NoReplication) Step(ops []Op) ([]Word, StepCost) {
 	lf := ld.Begin("sort", trace.PhaseSort)
 	m.AddSteps(sortSteps)
 	lf.End()
-	delivered, cycles := b.eng.Route(b.fwd, full, sorted, func(p nrPkt) int { return p.dest })
+	delivered, cycles, lost := b.eng.Route(b.fwd, full, sorted, func(p nrPkt) int { return p.dest }, false, nil)
 	lf = ld.Begin("forward", trace.PhaseForward)
 	m.AddSteps(cycles)
 	lf.End()
@@ -184,7 +184,10 @@ func (b *NoReplication) Step(ops []Op) ([]Word, StepCost) {
 	m.AddSteps(int64(maxPer))
 	lf.End()
 
-	home, back := b.eng.Route(b.ret, full, delivered, func(p nrPkt) int { return p.origin })
+	home, back, lostBack := b.eng.Route(b.ret, full, delivered, func(p nrPkt) int { return p.origin }, false, nil)
+	if lost+lostBack != 0 {
+		panic(fmt.Sprintf("baseline: healthy routing lost %d packets", lost+lostBack))
+	}
 	lf = ld.Begin("return", trace.PhaseReturn)
 	m.AddSteps(back)
 	lf.End()
@@ -335,7 +338,7 @@ func (b *RandomMOS) Step(ops []Op) ([]Word, StepCost) {
 	lf := ld.Begin("sort", trace.PhaseSort)
 	m.AddSteps(sortSteps)
 	lf.End()
-	delivered, cycles := b.eng.Route(b.fwd, full, sorted, func(p rmPkt) int { return p.dest })
+	delivered, cycles, lost := b.eng.Route(b.fwd, full, sorted, func(p rmPkt) int { return p.dest }, false, nil)
 	lf = ld.Begin("forward", trace.PhaseForward)
 	m.AddSteps(cycles)
 	lf.End()
@@ -363,7 +366,10 @@ func (b *RandomMOS) Step(ops []Op) ([]Word, StepCost) {
 	m.AddSteps(int64(maxPer))
 	lf.End()
 
-	home, back := b.eng.Route(b.ret, full, delivered, func(p rmPkt) int { return p.origin })
+	home, back, lostBack := b.eng.Route(b.ret, full, delivered, func(p rmPkt) int { return p.origin }, false, nil)
+	if lost+lostBack != 0 {
+		panic(fmt.Sprintf("baseline: healthy routing lost %d packets", lost+lostBack))
+	}
 	lf = ld.Begin("return", trace.PhaseReturn)
 	m.AddSteps(back)
 	lf.End()

@@ -1056,32 +1056,18 @@ func (sim *Simulator) selectReadOneWriteAll(ops []Op, avail [][]bool) *culling.R
 }
 
 // routeIn routes packets within a region, using torus links when the
-// configuration enables them and the region spans the whole machine.
-// All calls go through the simulator's persistent route.Engine, so
-// queue and arrival storage is reused from step to step; the delivery
-// buffer comes from the simulator's arena; the caller must return it
-// via arena.put once its entries are drained and truncated.
+// configuration enables them and the region spans the whole machine,
+// and detouring around the simulator's faults when it has any. All
+// calls go through the simulator's persistent route.Engine, so queue
+// and arrival storage is reused from step to step; the delivery buffer
+// comes from the simulator's arena; the caller must return it via
+// arena.put once its entries are drained and truncated.
 func (sim *Simulator) routeIn(r mesh.Region, fullMachine bool, items [][]pkt, dest func(pkt) int) ([][]pkt, int64) {
-	buf := sim.arena.get()
-	torus := sim.cfg.Torus && fullMachine
-	if sim.faults != nil {
-		var delivered [][]pkt
-		var cycles int64
-		var lost int
-		if torus {
-			delivered, cycles, lost = sim.eng.RouteTorusFault(buf, items, dest)
-		} else {
-			delivered, cycles, lost = sim.eng.RouteFault(buf, r, items, dest)
-		}
-		if lost > 0 && sim.rep != nil {
-			sim.rep.LostPackets += lost
-		}
-		return delivered, cycles
+	delivered, cycles, lost := sim.eng.Route(sim.arena.get(), r, items, dest, sim.cfg.Torus && fullMachine, sim.faults)
+	if lost > 0 && sim.rep != nil {
+		sim.rep.LostPackets += lost
 	}
-	if torus {
-		return sim.eng.RouteTorus(buf, items, dest)
-	}
-	return sim.eng.Route(buf, r, items, dest)
+	return delivered, cycles
 }
 
 // sortSnake dispatches to the simulated sorting network or its

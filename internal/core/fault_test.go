@@ -150,3 +150,42 @@ func TestStepCheckedValidation(t *testing.T) {
 	}()
 	s.Step([]Op{{Origin: 0, Var: -1}})
 }
+
+// TestDeadOriginsAreUnrecoverable pins how the step report counts an op
+// whose origin node is dead: it is never served, so it is listed in
+// Unrecoverable as well as counted in DeadOrigins. Reports that add
+// DeadOrigins to len(Unrecoverable) count such ops twice.
+func TestDeadOriginsAreUnrecoverable(t *testing.T) {
+	f, err := fault.Parse(9, "rand:node=0.3,seed=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := faultSim(t, f)
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 4; round++ {
+		perm := rng.Perm(s.Scheme().Vars())
+		ops := make([]Op, s.Mesh().N)
+		for i := range ops {
+			ops[i] = Op{Origin: i, Var: perm[i], IsWrite: i%2 == 0, Value: Word(i)}
+		}
+		if _, _, err := s.StepChecked(ops); err != nil {
+			t.Fatal(err)
+		}
+		r := s.LastReport()
+		if r.DeadOrigins == 0 {
+			t.Fatalf("round %d: no dead origins under 30%% node faults", round)
+		}
+		if r.DeadOrigins > len(r.Unrecoverable) {
+			t.Fatalf("round %d: %d dead origins > %d unrecoverable ops", round, r.DeadOrigins, len(r.Unrecoverable))
+		}
+		unrec := map[int]bool{}
+		for _, i := range r.Unrecoverable {
+			unrec[i] = true
+		}
+		for i, op := range ops {
+			if f.NodeDead(op.Origin) && !unrec[i] {
+				t.Fatalf("round %d: op %d from dead origin %d not unrecoverable", round, i, op.Origin)
+			}
+		}
+	}
+}

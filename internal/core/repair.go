@@ -507,8 +507,8 @@ func (sim *Simulator) repairQuarantined(sp *trace.Span) error {
 			sim.reng.SetFaultView(sim.view)
 		}
 	}
-	delivered, cycles, lost := sim.reng.RouteFault(
-		sim.rbuf, m.Full(), items, func(p rpkt) int { return p.dest })
+	delivered, cycles, lost := sim.reng.Route(
+		sim.rbuf, m.Full(), items, func(p rpkt) int { return p.dest }, false, sim.faults)
 	sim.rstats.Lost += lost
 	maxWrites := 0
 	for p := range delivered {

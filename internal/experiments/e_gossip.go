@@ -10,7 +10,6 @@ import (
 	"meshpram/internal/sim"
 	"meshpram/internal/stats"
 	"meshpram/internal/trace"
-	"meshpram/internal/workload"
 )
 
 // gossipRates is the GOSSIP sweep: per-step module death probability of
@@ -45,11 +44,13 @@ func RunGossip(w io.Writer, cfg Config) error {
 			Horizon:    int64(steps),
 			Seed:       cfg.Seed,
 		}.Build(side)
-		glob, err := runGossipCell(side, d, cfg, sch, faultview.Global, steps)
+		glob, err := runChurnCell(side, d, cfg, sch, steps,
+			sim.Repair(core.RepairEager), sim.FaultView(faultview.Global), sim.FaultViewSeed(cfg.Seed))
 		if err != nil {
 			return err
 		}
-		loc, err := runGossipCell(side, d, cfg, sch, faultview.Local, steps)
+		loc, err := runChurnCell(side, d, cfg, sch, steps,
+			sim.Repair(core.RepairEager), sim.FaultView(faultview.Local), sim.FaultViewSeed(cfg.Seed))
 		if err != nil {
 			return err
 		}
@@ -90,52 +91,4 @@ func RunGossip(w io.Writer, cfg Config) error {
 	fmt.Fprintln(w, "  in charged steps — the real price is the window of degraded majorities")
 	fmt.Fprintln(w, "  (extra lost packets / unrecoverable reads) while notices are in flight.")
 	return nil
-}
-
-// gossipCell is one measured (schedule, knowledge model) run.
-type gossipCell struct {
-	steps         int64
-	lost          int
-	unrecoverable int
-	repair        core.RepairStats
-	view          faultview.Stats
-	tree          *trace.Node
-}
-
-// runGossipCell plays `steps` full-machine mixed batches against the
-// given schedule under eager repair and the given fault-knowledge
-// model, summing the measurements.
-func runGossipCell(side, d int, cfg Config, sch *fault.Schedule, view faultview.Mode, steps int) (gossipCell, error) {
-	c, err := sim.New(
-		sim.Side(side), sim.Q(3), sim.D(d), sim.K(2), sim.Workers(cfg.Workers),
-		sim.FaultSchedule(sch), sim.Repair(core.RepairEager),
-		sim.FaultView(view), sim.FaultViewSeed(cfg.Seed),
-	)
-	if err != nil {
-		return gossipCell{}, err
-	}
-	s, err := c.NewSimulator()
-	if err != nil {
-		return gossipCell{}, err
-	}
-	var cell gossipCell
-	n := s.Mesh().N
-	for r := 0; r < steps; r++ {
-		vars := workload.RandomDistinct(s.Scheme().Vars(), n, cfg.Seed+int64(r))
-		_, st, err := s.StepChecked(vars.Mixed(1000))
-		if err != nil {
-			return gossipCell{}, err
-		}
-		cell.steps += st.Total()
-		if rep := s.LastReport(); rep != nil {
-			cell.lost += rep.LostPackets
-			cell.unrecoverable += len(rep.Unrecoverable)
-		}
-	}
-	cell.repair = s.RepairStats()
-	if v := s.FaultView(); v != nil {
-		cell.view = v.Stats()
-	}
-	cell.tree = trace.Export(s.Ledger().Last())
-	return cell, nil
 }

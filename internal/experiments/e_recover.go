@@ -6,6 +6,7 @@ import (
 
 	"meshpram/internal/core"
 	"meshpram/internal/fault"
+	"meshpram/internal/faultview"
 	"meshpram/internal/sim"
 	"meshpram/internal/stats"
 	"meshpram/internal/trace"
@@ -48,11 +49,11 @@ func RunRecover(w io.Writer, cfg Config) error {
 			Horizon:    int64(steps),
 			Seed:       cfg.Seed,
 		}.Build(side)
-		eager, err := runRecoverCell(side, d, cfg, sch, core.RepairEager, steps)
+		eager, err := runChurnCell(side, d, cfg, sch, steps, sim.Repair(core.RepairEager))
 		if err != nil {
 			return err
 		}
-		off, err := runRecoverCell(side, d, cfg, sch, core.RepairOff, steps)
+		off, err := runChurnCell(side, d, cfg, sch, steps, sim.Repair(core.RepairOff))
 		if err != nil {
 			return err
 		}
@@ -81,43 +82,49 @@ func RunRecover(w io.Writer, cfg Config) error {
 	return nil
 }
 
-// recoverCell is one measured (schedule, policy) run.
-type recoverCell struct {
+// churnCell is one measured run of a seeded churn timeline under one
+// policy.
+type churnCell struct {
 	steps         int64
+	lost          int
 	unrecoverable int
 	repair        core.RepairStats
+	view          faultview.Stats
 	tree          *trace.Node
 }
 
-// runRecoverCell plays `steps` full-machine mixed batches against the
-// given schedule under the given repair policy and sums the
-// measurements.
-func runRecoverCell(side, d int, cfg Config, sch *fault.Schedule, policy core.RepairPolicy, steps int) (recoverCell, error) {
-	c, err := sim.New(
-		sim.Side(side), sim.Q(3), sim.D(d), sim.K(2), sim.Workers(cfg.Workers),
-		sim.FaultSchedule(sch), sim.Repair(policy),
-	)
+// runChurnCell plays `steps` full-machine mixed batches against the
+// given schedule under the policy options (repair policy, fault-view
+// model, …) and sums the measurements. RECOVER and GOSSIP each replay
+// one timeline through it twice, so the two runs differ only in policy.
+func runChurnCell(side, d int, cfg Config, sch *fault.Schedule, steps int, policy ...sim.Option) (churnCell, error) {
+	opts := []sim.Option{sim.Side(side), sim.Q(3), sim.D(d), sim.K(2), sim.Workers(cfg.Workers), sim.FaultSchedule(sch)}
+	c, err := sim.New(append(opts, policy...)...)
 	if err != nil {
-		return recoverCell{}, err
+		return churnCell{}, err
 	}
 	s, err := c.NewSimulator()
 	if err != nil {
-		return recoverCell{}, err
+		return churnCell{}, err
 	}
-	var cell recoverCell
+	var cell churnCell
 	n := s.Mesh().N
 	for r := 0; r < steps; r++ {
 		vars := workload.RandomDistinct(s.Scheme().Vars(), n, cfg.Seed+int64(r))
 		_, st, err := s.StepChecked(vars.Mixed(1000))
 		if err != nil {
-			return recoverCell{}, err
+			return churnCell{}, err
 		}
 		cell.steps += st.Total()
 		if rep := s.LastReport(); rep != nil {
+			cell.lost += rep.LostPackets
 			cell.unrecoverable += len(rep.Unrecoverable)
 		}
 	}
 	cell.repair = s.RepairStats()
+	if v := s.FaultView(); v != nil {
+		cell.view = v.Stats()
+	}
 	cell.tree = trace.Export(s.Ledger().Last())
 	return cell, nil
 }

@@ -77,7 +77,10 @@ func measureRoute(kind string, side, workers, iters int, seed int64) routeCell {
 			runtime.ReadMemStats(&ms0)
 		}
 		start := time.Now()
-		_, cycles := eng.Route(dst, full, items, ident)
+		_, cycles, lost := eng.Route(dst, full, items, ident, false, nil)
+		if lost != 0 {
+			panic(fmt.Sprintf("ROUTE: healthy routing lost %d packets", lost))
+		}
 		if it >= 0 {
 			cell.nsOp += time.Since(start).Nanoseconds()
 			cell.cycles = cycles

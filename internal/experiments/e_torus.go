@@ -52,9 +52,13 @@ func RunE16(w io.Writer, cfg Config) error {
 		}},
 	}
 	id := func(d int) int { return d }
+	eng := route.NewEngine[int](m)
 	for _, pat := range patterns {
-		_, meshCycles := route.GreedyRoute(m, m.Full(), pat.mk(), id)
-		_, torusCycles := route.GreedyRouteTorus(m, pat.mk(), id)
+		_, meshCycles, lost := eng.Route(nil, m.Full(), pat.mk(), id, false, nil)
+		_, torusCycles, lostTorus := eng.Route(nil, m.Full(), pat.mk(), id, true, nil)
+		if lost+lostTorus != 0 {
+			return fmt.Errorf("E16: healthy routing lost %d packets", lost+lostTorus)
+		}
 		tb.Add(pat.name, meshCycles, torusCycles, float64(torusCycles)/float64(meshCycles))
 	}
 	tb.Render(w)

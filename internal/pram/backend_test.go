@@ -3,9 +3,7 @@ package pram
 import (
 	"testing"
 
-	"meshpram/internal/core"
 	"meshpram/internal/fault"
-	"meshpram/internal/hmos"
 	"meshpram/internal/sim"
 )
 
@@ -60,7 +58,6 @@ func TestMeshBackendManyDistinctSingleRound(t *testing.T) {
 	// Distinct reads and writes without overlap must execute as ONE
 	// protocol round: compare against the two-round cost of an
 	// overlapping step.
-	p := hmos.Params{Side: 9, Q: 3, D: 3, K: 2}
 	mkOps := func(overlap bool) []Op {
 		ops := make([]Op, 20)
 		for i := 0; i < 10; i++ {
@@ -75,11 +72,15 @@ func TestMeshBackendManyDistinctSingleRound(t *testing.T) {
 		}
 		return ops
 	}
-	mb1, _ := NewMesh(p, core.Config{}, nil)
-	mb1.ExecStep(mkOps(false))
+	mb1 := newMesh(t, nil)
+	if _, err := mb1.ExecStep(mkOps(false)); err != nil {
+		t.Fatal(err)
+	}
 	single := mb1.Steps()
-	mb2, _ := NewMesh(p, core.Config{}, nil)
-	mb2.ExecStep(mkOps(true))
+	mb2 := newMesh(t, nil)
+	if _, err := mb2.ExecStep(mkOps(true)); err != nil {
+		t.Fatal(err)
+	}
 	double := mb2.Steps()
 	if double <= single {
 		t.Fatalf("overlapping step (%d) not costlier than disjoint (%d)", double, single)

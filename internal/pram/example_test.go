@@ -3,9 +3,8 @@ package pram_test
 import (
 	"fmt"
 
-	"meshpram/internal/core"
-	"meshpram/internal/hmos"
 	"meshpram/internal/pram"
+	"meshpram/internal/sim"
 )
 
 // ExampleRun executes the recursive-doubling prefix-sum program on the
@@ -25,10 +24,11 @@ func ExampleRun() {
 	// prefix total: 36
 }
 
-// ExampleNewMesh runs the same program through the paper's mesh
-// simulation: identical results, mesh-step cost reported.
-func ExampleNewMesh() {
-	mb, err := pram.NewMesh(hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, core.Config{}, nil)
+// ExampleNewBackend runs the same program through the paper's mesh
+// simulation, built from sim.New's default parameters (side 9, q 3,
+// d 3, k 2): identical results, mesh-step cost reported.
+func ExampleNewBackend() {
+	mb, err := pram.NewBackend(pram.BackendMesh, sim.MustNew())
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -38,7 +38,11 @@ func ExampleNewMesh() {
 		fmt.Println(err)
 		return
 	}
-	res, _ := mb.ExecStep([]pram.Op{{Kind: pram.Read, Addr: 7}})
+	res, err := mb.ExecStep([]pram.Op{{Kind: pram.Read, Addr: 7}})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	fmt.Println("prefix total:", res[0])
 	fmt.Println("simulation was charged mesh steps:", mb.Steps() > 0)
 	// Output:

@@ -4,19 +4,31 @@ import (
 	"math/rand"
 	"testing"
 
-	"meshpram/internal/core"
 	"meshpram/internal/hmos"
+	"meshpram/internal/sim"
 )
 
 var meshParams = hmos.Params{Side: 9, Q: 3, D: 3, K: 2} // n=81, M=117
 
-func newMesh(t testing.TB, combine CombinePolicy) *Mesh {
+// newMesh builds the mesh backend through NewBackend over sim.New's
+// default parameters (meshParams) plus opts.
+func newMesh(t testing.TB, combine CombinePolicy, opts ...sim.Option) *Mesh {
 	t.Helper()
-	mb, err := NewMesh(meshParams, core.Config{}, combine)
+	if combine != nil {
+		opts = append(opts, sim.Combine(combine))
+	}
+	cfg, err := sim.New(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return mb
+	if cfg.Params != meshParams {
+		t.Fatalf("sim defaults %+v drifted from meshParams %+v", cfg.Params, meshParams)
+	}
+	b, err := NewBackend(BackendMesh, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.(*Mesh)
 }
 
 func TestIdealSemantics(t *testing.T) {
@@ -305,7 +317,8 @@ func BenchmarkPrefixSumMesh(b *testing.B) {
 		in[i] = Word(i)
 	}
 	for i := 0; i < b.N; i++ {
-		mb, _ := NewMesh(meshParams, core.Config{}, nil)
-		Run(&PrefixSum{In: in}, mb)
+		if _, err := Run(&PrefixSum{In: in}, newMesh(b, nil)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

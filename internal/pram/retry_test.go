@@ -3,8 +3,8 @@ package pram
 import (
 	"testing"
 
-	"meshpram/internal/core"
 	"meshpram/internal/fault"
+	"meshpram/internal/sim"
 )
 
 // isolateModule kills every mesh link incident to p, so packets
@@ -35,10 +35,7 @@ func isolateModule(f *fault.Map, side, p int) {
 func TestRetryRecoversLostPackets(t *testing.T) {
 	f := fault.NewMap(meshParams.Side)
 	isolateModule(f, meshParams.Side, 9)
-	mb, err := NewMesh(meshParams, core.Config{Workers: 1, Faults: f}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mb := newMesh(t, nil, sim.Workers(1), sim.Faults(f))
 	mb.SetRetryBudget(3)
 
 	if _, err := mb.ExecStep([]Op{{Kind: Write, Addr: 0, Value: 4242}}); err != nil {
@@ -83,10 +80,7 @@ func TestRetryExhaustsOnUnhealableLoss(t *testing.T) {
 	for _, h := range hosts[:5] {
 		f.KillModule(h)
 	}
-	mb, err := NewMesh(meshParams, core.Config{Workers: 1, Faults: f}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mb := newMesh(t, nil, sim.Workers(1), sim.Faults(f))
 	mb.SetRetryBudget(2)
 
 	if _, err := mb.ExecStep([]Op{{Kind: Read, Addr: 0}}); err != nil {
@@ -119,10 +113,7 @@ func TestRollbackCapStopsLivelock(t *testing.T) {
 	for _, h := range hosts[:5] {
 		f.KillModule(h)
 	}
-	mb, err := NewMesh(meshParams, core.Config{Workers: 1, Faults: f}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mb := newMesh(t, nil, sim.Workers(1), sim.Faults(f))
 	mb.SetRetryBudget(2)
 	mb.SetRollbackCap(3)
 
@@ -158,10 +149,7 @@ func TestRollbackCapStopsLivelock(t *testing.T) {
 
 	// The default cap follows the budget; an explicit override sticks
 	// until the next SetRetryBudget.
-	mb2, err := NewMesh(meshParams, core.Config{Workers: 1, Faults: fault.NewMap(meshParams.Side)}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mb2 := newMesh(t, nil, sim.Workers(1), sim.Faults(fault.NewMap(meshParams.Side)))
 	mb2.SetRetryBudget(2)
 	if mb2.rollbackCap != 2*rollbackCapFactor {
 		t.Errorf("default cap = %d, want %d", mb2.rollbackCap, 2*rollbackCapFactor)
@@ -182,10 +170,7 @@ func TestRetryBudgetZeroNeverSnapshots(t *testing.T) {
 	for _, h := range hosts[:5] {
 		f.KillModule(h)
 	}
-	mb, err := NewMesh(meshParams, core.Config{Workers: 1, Faults: f}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mb := newMesh(t, nil, sim.Workers(1), sim.Faults(f))
 	if _, err := mb.ExecStep([]Op{{Kind: Read, Addr: 0}}); err != nil {
 		t.Fatal(err)
 	}

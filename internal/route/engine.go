@@ -13,11 +13,9 @@ import (
 	"meshpram/internal/trace"
 )
 
-// Engine is a persistent, allocation-lean greedy router. It simulates
-// the same cycle-accurate dimension-ordered routing as GreedyRoute —
-// bit-identically: delivered contents, per-processor delivery order,
-// cycle counts and ledger spans all match the historical per-call
-// router — but keeps every buffer it needs across Route calls, so a
+// Engine is a persistent, allocation-lean greedy router: the one
+// implementation of the paper's greedy dimension-ordered packet routing
+// (see Route). It keeps every buffer it needs across Route calls, so a
 // hot loop (a protocol stage per PRAM step, a baseline batch, a repair
 // scrub) routes without rebuilding queue or arrival storage.
 //
@@ -82,17 +80,16 @@ type Engine[T any] struct {
 	csd  []bool         // per-shard contested flag for the last sweep
 	cuts []int32        // shard boundaries (worklist indexes) of the last plan
 
-	mode                       EngineMode
-	hsrc                       HorizonSource
-	vbkt                       [][]uint64  // per-line packed trajectory-segment buckets (2·side lines)
-	vtouch                     []int32     // lines touched by the current horizon attempt
-	trjH                       []int32     // per-slot horizontal hops, cached by skipHorizon
-	trjV                       []int8      // per-slot vertical direction, cached by skipHorizon
-	delq                       []engDel    // batched deliveries, sorted into cycle order
-	haz                        []engHazard // fault hazards of the current routeFault call
-	hbuf                       []fault.LinkHazard
-	execs                      int64 // executed iterations (sweeps + batches) of the last call
-	dbgBatch, dbgSweep, dbgTry int64
+	mode   EngineMode
+	hsrc   HorizonSource
+	vbkt   [][]uint64  // per-line packed trajectory-segment buckets (2·side lines)
+	vtouch []int32     // lines touched by the current horizon attempt
+	trjH   []int32     // per-slot horizontal hops, cached by skipHorizon
+	trjV   []int8      // per-slot vertical direction, cached by skipHorizon
+	delq   []engDel    // batched deliveries, sorted into cycle order
+	haz    []engHazard // fault hazards of the current Route call
+	hbuf   []fault.LinkHazard
+	execs  int64 // executed iterations (sweeps + batches) of the last call
 
 	lastContested bool
 	// wlUnsorted marks a worklist left in first-occurrence order by a
@@ -162,9 +159,9 @@ func (e *Engine[T]) Mode() EngineMode { return e.mode }
 // removes it). The source is consulted on every batch attempt.
 func (e *Engine[T]) SetHorizonSource(h HorizonSource) { e.hsrc = h }
 
-// SetFaultView installs a local-knowledge fault view: the fault-aware
-// routing paths then consult each node's gossip-updated belief instead
-// of the machine's global fault map, with stale-view detours, bounded
+// SetFaultView installs a local-knowledge fault view: fault-aware Route
+// calls (non-nil fault map) then consult each node's gossip-updated
+// belief instead of that global map, with stale-view detours, bounded
 // rediscovery probes and propagation-latency losses. Nil restores the
 // global (omniscient) behavior. The view is shared between engines of
 // one simulator and advances one gossip round per charged fault-routing
@@ -238,19 +235,20 @@ const engProbeBudget = 8
 // channel between sweeps — an abandoned engine stays collectible and
 // its finalizer retires the pool.
 type engJob[T any] struct {
-	e            *Engine[T]
-	w, lo, hi    int
-	r            mesh.Region
-	topo         topology
-	wrap, faulty bool
-	cycle        int64
-	wg           *sync.WaitGroup
+	e         *Engine[T]
+	w, lo, hi int
+	r         mesh.Region
+	topo      topology
+	wrap      bool
+	f         *fault.Map
+	cycle     int64
+	wg        *sync.WaitGroup
 }
 
 func engWorker[T any](jobs <-chan engJob[T]) {
 	//detlint:ignore chanorder job intake only: each job writes its own worker arena slot and the caller merges arenas in shard-index order after the barrier
 	for j := range jobs {
-		j.e.sweepRange(j.w, j.lo, j.hi, j.r, j.topo, j.wrap, j.faulty, j.cycle)
+		j.e.sweepRange(j.w, j.lo, j.hi, j.r, j.topo, j.wrap, j.f, j.cycle)
 		j.wg.Done()
 	}
 }
@@ -264,33 +262,6 @@ const engShardPackets = 192
 // event-driven execution mode.
 func NewEngine[T any](m *mesh.Machine) *Engine[T] {
 	return &Engine[T]{m: m}
-}
-
-// Route delivers every item to its destination processor inside region
-// r over plain mesh links, exactly like GreedyRoute, into dst (nil
-// allocates). It returns the delivered items per processor and the
-// cycle count.
-func (e *Engine[T]) Route(dst [][]T, r mesh.Region, items [][]T, dest func(T) int) (delivered [][]T, steps int64) {
-	return e.route(dst, r, items, dest, meshTopo{e.m}, false)
-}
-
-// RouteTorus is Route on the full machine with wrap-around links.
-func (e *Engine[T]) RouteTorus(dst [][]T, items [][]T, dest func(T) int) (delivered [][]T, steps int64) {
-	return e.route(dst, e.m.Full(), items, dest, torusTopo{e.m}, true)
-}
-
-// RouteFault is the fault-aware routing of GreedyRouteFaultInto on the
-// engine: detours around dead links/nodes with backtrack demotion,
-// slow-link waiting, a bounded retry budget, and lost-packet
-// accounting, all bit-identical to the per-call router.
-func (e *Engine[T]) RouteFault(dst [][]T, r mesh.Region, items [][]T, dest func(T) int) (delivered [][]T, steps int64, lost int) {
-	return e.routeFault(dst, r, items, dest, meshTopo{e.m}, false)
-}
-
-// RouteTorusFault is RouteFault on the full machine with wrap-around
-// links.
-func (e *Engine[T]) RouteTorusFault(dst [][]T, items [][]T, dest func(T) int) (delivered [][]T, steps int64, lost int) {
-	return e.routeFault(dst, e.m.Full(), items, dest, torusTopo{e.m}, true)
 }
 
 // ensure sizes the per-node state for region r and truncates the slab.
@@ -485,11 +456,10 @@ func (e *Engine[T]) enqueue(lp int, slot int32, wl []int32) []int32 {
 }
 
 // inject drains items into the slab and queues. Packets already at
-// their destination are delivered immediately; with a fault map f
-// (fault path only — the healthy path passes nil even on a faulted
-// machine, like GreedyRoute always did), packets to dead nodes are
-// lost at injection. Returns the number of routed (queued) packets,
-// which is also the slab length, and the injection losses.
+// their destination are delivered immediately; with a fault map f (nil
+// on the healthy path, even on a faulted machine), packets to dead
+// nodes are lost at injection. Returns the number of routed (queued)
+// packets, which is also the slab length, and the injection losses.
 func (e *Engine[T]) inject(delivered [][]T, r mesh.Region, items [][]T, dest func(T) int, topo topology, f *fault.Map) (active, lost int) {
 	m := e.m
 	wl := e.active
@@ -584,7 +554,7 @@ func (e *Engine[T]) ensurePool(n int) {
 // (not node counts), so skewed loads (hotspots) still balance. Shards
 // ≥ 1 run on the persistent pool; shard 0 runs on the caller.
 // Returns (shards, total arrivals) and records the contested flag.
-func (e *Engine[T]) sweep(r mesh.Region, topo topology, wrap, faulty bool, cycle int64, queued int) (int, int) {
+func (e *Engine[T]) sweep(r mesh.Region, topo topology, wrap bool, f *fault.Map, cycle int64, queued int) (int, int) {
 	if e.wlUnsorted {
 		e.sortWorklist(r)
 		e.wlUnsorted = false
@@ -609,7 +579,7 @@ func (e *Engine[T]) sweep(r mesh.Region, topo topology, wrap, faulty bool, cycle
 	}
 	n := len(e.active)
 	if shards == 1 {
-		e.sweepRange(0, 0, n, r, topo, wrap, faulty, cycle)
+		e.sweepRange(0, 0, n, r, topo, wrap, f, cycle)
 		e.lastContested = e.csd[0]
 		return 1, len(e.arr[0])
 	}
@@ -639,9 +609,9 @@ func (e *Engine[T]) sweep(r mesh.Region, topo topology, wrap, faulty bool, cycle
 		}
 		wg.Add(1)
 		e.jobs <- engJob[T]{e: e, w: w, lo: lo, hi: hi, r: r, topo: topo,
-			wrap: wrap, faulty: faulty, cycle: cycle, wg: wg}
+			wrap: wrap, f: f, cycle: cycle, wg: wg}
 	}
-	e.sweepRange(0, 0, int(cuts[1]), r, topo, wrap, faulty, cycle)
+	e.sweepRange(0, 0, int(cuts[1]), r, topo, wrap, f, cycle)
 	wg.Wait()
 	total := 0
 	contested := false
@@ -660,8 +630,8 @@ func (e *Engine[T]) sweep(r mesh.Region, topo topology, wrap, faulty bool, cycle
 // records in e.csd[w] whether the strip saw contention — a packet left
 // behind, or any blocked/slow fault hop — which gates the event mode's
 // next horizon attempt.
-func (e *Engine[T]) sweepRange(w, lo, hi int, r mesh.Region, topo topology, wrap, faulty bool, cycle int64) {
-	f := e.m.Faults()
+func (e *Engine[T]) sweepRange(w, lo, hi int, r mesh.Region, topo topology, wrap bool, f *fault.Map, cycle int64) {
+	faulty := f != nil
 	arr := e.arr[w][:0]
 	cst := false
 	local := faulty && e.view != nil
@@ -702,32 +672,10 @@ func (e *Engine[T]) sweepRange(w, lo, hi int, r mesh.Region, topo topology, wrap
 				}
 			} else if faulty {
 				// Preferred healthy hop first (bit-identical when up),
-				// then detour candidates by (distance, direction). The
-				// hop that undoes the previous move is a last resort —
-				// otherwise a packet blocked broadside ping-pongs
-				// between two nodes until the budget kills it.
+				// then the detour candidates.
 				if !usableLink(f, p, e.stepTo(p, d, wrap), cycle) {
 					cst = true
-					d = -1
-					var bd int32
-					back := -1
-					for cand := 0; cand < 4; cand++ {
-						to2, ok := e.stepBounded(p, cand, r, wrap)
-						if !ok || !usableLink(f, p, to2, cycle) {
-							continue
-						}
-						if int32(to2) == e.from[slot] {
-							back = cand
-							continue
-						}
-						d2 := int32(topo.dist(to2, int(e.dests[slot])))
-						if d == -1 || d2 < bd {
-							d, bd = cand, d2
-						}
-					}
-					if d == -1 {
-						d = back
-					}
+					d = e.detour(slot, p, r, topo, wrap, cycle, f)
 					if d == -1 {
 						continue // blocked this cycle; wait
 					}
@@ -785,6 +733,34 @@ func usableLink(f *fault.Map, p, to int, cycle int64) bool {
 	return cycle%int64(f.LinkDelay(p, to)) == 0
 }
 
+// detour picks the hop for slot at p when its preferred hop is unusable
+// under f: the usable in-region candidate nearest the destination (ties
+// by direction index), with the hop undoing the previous move as a last
+// resort — otherwise a packet blocked broadside ping-pongs between two
+// nodes until the budget kills it. -1 when no hop is usable.
+func (e *Engine[T]) detour(slot int32, p int, r mesh.Region, topo topology, wrap bool, cycle int64, f *fault.Map) int {
+	d, back := -1, -1
+	var bd int32
+	for cand := 0; cand < 4; cand++ {
+		to2, ok := e.stepBounded(p, cand, r, wrap)
+		if !ok || !usableLink(f, p, to2, cycle) {
+			continue
+		}
+		if int32(to2) == e.from[slot] {
+			back = cand
+			continue
+		}
+		d2 := int32(topo.dist(to2, int(e.dests[slot])))
+		if d == -1 || d2 < bd {
+			d, bd = cand, d2
+		}
+	}
+	if d == -1 {
+		return back
+	}
+	return d
+}
+
 // localDir is the local-knowledge replacement for the global detour
 // scan: the packet at node p picks its hop against p's *belief* (the
 // gossip view), then the chosen hop is checked against the physical
@@ -805,29 +781,10 @@ func (e *Engine[T]) localDir(w int, slot int32, p int, r mesh.Region, topo topol
 	d := int(e.dir[slot])
 	probe := false
 	if !usableLink(bel, p, e.stepTo(p, d, wrap), cycle) {
-		// Stale-view detour: mirror the global candidate scan, but
-		// against the local belief.
+		// Stale-view detour: the global candidate scan, but against
+		// the local belief.
 		*cst = true
-		nd := -1
-		var bd int32
-		back := -1
-		for cand := 0; cand < 4; cand++ {
-			to2, ok := e.stepBounded(p, cand, r, wrap)
-			if !ok || !usableLink(bel, p, to2, cycle) {
-				continue
-			}
-			if int32(to2) == e.from[slot] {
-				back = cand
-				continue
-			}
-			d2 := int32(topo.dist(to2, int(e.dests[slot])))
-			if nd == -1 || d2 < bd {
-				nd, bd = cand, d2
-			}
-		}
-		if nd == -1 {
-			nd = back
-		}
+		nd := e.detour(slot, p, r, topo, wrap, cycle, bel)
 		if nd == -1 {
 			// Nothing believed usable: probe the preferred link anyway —
 			// the bounded rediscovery that corrects stale-dead beliefs.
@@ -966,21 +923,21 @@ func (e *Engine[T]) flushLocal(shards int, f *fault.Map) (dropped, waiting int) 
 // preferred dimension-ordered one and probes, detours and discoveries
 // cannot occur.
 func (e *Engine[T]) localHazards(f *fault.Map) {
-	m := e.m
 	if e.hazLog == e.view.NoticeCount() {
 		return
 	}
 	e.hazLog = e.view.NoticeCount()
 	e.haz = e.haz[:0]
 	e.hbuf = f.AppendLinkHazards(e.hbuf)
-	for _, hz := range e.hbuf {
-		e.haz = append(e.haz, engHazard{
-			ar: int32(m.RowOf(hz.A)), ac: int32(m.ColOf(hz.A)),
-			br: int32(m.RowOf(hz.B)), bc: int32(m.ColOf(hz.B)),
-			delay: int32(hz.Delay),
-		})
-	}
+	e.appendHazards()
 	e.hbuf = e.view.AppendBeliefHazards(e.hbuf)
+	e.appendHazards()
+}
+
+// appendHazards appends the hazards staged in e.hbuf to e.haz, with
+// pre-split coordinates.
+func (e *Engine[T]) appendHazards() {
+	m := e.m
 	for _, hz := range e.hbuf {
 		e.haz = append(e.haz, engHazard{
 			ar: int32(m.RowOf(hz.A)), ac: int32(m.ColOf(hz.A)),
@@ -999,7 +956,7 @@ func (e *Engine[T]) localHazards(f *fault.Map) {
 // occupied nodes is sorted on its own and merged back in, so no cycle
 // ever sorts the whole worklist. Returns the number of packets
 // delivered this cycle.
-func (e *Engine[T]) merge(delivered [][]T, r mesh.Region, topo topology, wrap, faulty bool, shards int) int {
+func (e *Engine[T]) merge(delivered [][]T, r mesh.Region, topo topology, wrap bool, f *fault.Map, shards int) int {
 	m := e.m
 	done := 0
 	// Prune first: a node emptied by the sweep leaves the worklist
@@ -1017,7 +974,7 @@ func (e *Engine[T]) merge(delivered [][]T, r mesh.Region, topo topology, wrap, f
 		for _, a := range e.arr[w] {
 			slot := a.slot
 			to := int(a.to)
-			if faulty {
+			if f != nil {
 				e.from[slot] = a.fromP
 				if e.view != nil && e.ptry[slot] != 0 {
 					// The packet moved: its rediscovery budget refills.
@@ -1133,19 +1090,6 @@ func (e *Engine[T]) trajPos(row, col, dc int, d, vd int8, h, t int32, wrap bool)
 
 const engInf = int32(1) << 30
 
-// skipHorizon computes the epoch-skip width available from the current
-// state: the largest k such that every queued packet can free-run k
-// hops along its cached (dir, dist) trajectory with no two packets
-// ever competing for the same (node, out-direction) and no fault
-// hazard crossed off-beat, capped by the external horizon source and
-// the remaining retry budget. Two packets on the same line moving the
-// same direction at unit speed collide iff they share a phase
-// (position ∓ time), so the earliest collision is found by bucketing
-// trajectory segments on (axis, line, direction, phase) and scanning
-// each bucket for overlapping occupancy windows — O(P log P), no
-// pairwise scan. The boolean reports whether the cap was semantic
-// (collision or hazard) — if so the caller must sweep cycle by cycle
-// until contention clears before attempting another skip.
 // sortWorklist restores region-row-major worklist order after a batch
 // or a full-rebuild merge deferred it. Event mode re-sorts the
 // worklist before almost every sweep, so this is an LSD radix sort —
@@ -1195,7 +1139,20 @@ func (e *Engine[T]) resetLines() {
 	e.vtouch = e.vtouch[:0]
 }
 
-func (e *Engine[T]) skipHorizon(r mesh.Region, wrap, faulty bool, charged, budgetRem int64) (int32, bool) {
+// skipHorizon computes the epoch-skip width available from the current
+// state: the largest k such that every queued packet can free-run k
+// hops along its cached (dir, dist) trajectory with no two packets
+// ever competing for the same (node, out-direction) and no fault
+// hazard crossed off-beat, capped by the external horizon source and
+// the remaining retry budget. Two packets on the same line moving the
+// same direction at unit speed collide iff they share a phase
+// (position ∓ time), so the earliest collision is found by bucketing
+// trajectory segments on (axis, line, direction, phase) and scanning
+// each bucket for overlapping occupancy windows — O(P log P), no
+// pairwise scan. The boolean reports whether the cap was semantic
+// (collision or hazard) — if so the caller must sweep cycle by cycle
+// until contention clears before attempting another skip.
+func (e *Engine[T]) skipHorizon(r mesh.Region, wrap bool, f *fault.Map, charged, budgetRem int64) (int32, bool) {
 	m := e.m
 	s := m.Side
 	var maxDist int32
@@ -1236,7 +1193,7 @@ func (e *Engine[T]) skipHorizon(r mesh.Region, wrap, faulty bool, charged, budge
 			}
 		}
 		for _, slot := range q {
-			if faulty && e.view != nil && e.pwait[slot] > charged {
+			if f != nil && e.view != nil && e.pwait[slot] > charged {
 				// A backoff-waiting packet does not free-run: its next
 				// cycles deviate from the cached trajectory, so no skip.
 				e.resetLines()
@@ -1300,7 +1257,7 @@ func (e *Engine[T]) skipHorizon(r mesh.Region, wrap, faulty bool, charged, budge
 				}
 				e.vbkt[line] = append(b, engSeg(uint64(idx), h, dist-1))
 			}
-			if faulty && len(haz) > 0 {
+			if f != nil && len(haz) > 0 {
 				if t := e.hazardCap(haz, rr, c, dc, d, vd, h, dist, charged, wrap); t < semCap {
 					semCap = t
 				}
@@ -1451,7 +1408,7 @@ func (e *Engine[T]) hazardCap(haz []engHazard, rr, c, dc int, d, vd int8, h, dis
 // left it. Queues and the worklist are rebuilt (sorted); queue-internal
 // order is unobservable — selection depends only on (dist, slot).
 // Returns the number of packets delivered.
-func (e *Engine[T]) batchAdvance(delivered [][]T, r mesh.Region, wrap, faulty bool, k int32) int {
+func (e *Engine[T]) batchAdvance(delivered [][]T, r mesh.Region, wrap bool, f *fault.Map, k int32) int {
 	if len(e.arr) == 0 {
 		e.arr = append(e.arr, nil)
 	}
@@ -1475,7 +1432,7 @@ func (e *Engine[T]) batchAdvance(delivered [][]T, r mesh.Region, wrap, faulty bo
 				continue
 			}
 			np, ndir := e.trajPos(rr, c, dc, d, vd, h, k, wrap)
-			if faulty {
+			if f != nil {
 				fp, _ := e.trajPos(rr, c, dc, d, vd, h, k-1, wrap)
 				e.from[slot] = int32(fp)
 			}
@@ -1502,71 +1459,55 @@ func (e *Engine[T]) batchAdvance(delivered [][]T, r mesh.Region, wrap, faulty bo
 	return len(dq)
 }
 
-// route is the healthy loop shared by Route and RouteTorus: in
-// ModeEvent it alternates epoch-skip batches with contention-resolving
-// sweeps; in ModeCycle it sweeps every charged cycle.
-func (e *Engine[T]) route(dst [][]T, r mesh.Region, items [][]T, dest func(T) int, topo topology, wrap bool) (delivered [][]T, steps int64) {
+// Route delivers every item to its destination processor inside region
+// r by greedy dimension-ordered (column-first) routing, simulated cycle
+// by cycle: in each cycle every directed link carries at most one
+// packet, chosen by farthest-remaining-distance first (ties by
+// injection order). Buffers are unbounded (store-and-forward), and the
+// dimension-ordered path of a destination inside r stays inside r.
+// Deliveries are appended to dst (per-processor slices, len m.N, region
+// entries empty; nil allocates). It returns the delivered items per
+// processor, the charged cycle count and the number of lost packets.
+//
+// With wrap the packets also use the torus's wrap-around links, taking
+// the shorter way around each axis (ties: the non-wrap direction); wrap
+// paths cannot be confined to a submesh, so r must be the full machine.
+//
+// f selects how faults are seen. With f == nil the routing is healthy
+// whatever the machine's own fault map says: nothing is lost, and a
+// sweep that moves nothing panics. With f != nil the router consults f:
+//
+//   - a packet whose preferred link is dead (or leads to a dead node)
+//     detours: the remaining directions are tried in order of resulting
+//     distance to the destination (ties by direction index), staying
+//     inside r, and the hop undoing the previous move comes last;
+//   - a slow link with factor s carries one packet only on cycles
+//     divisible by s;
+//   - a packet to a dead node is lost at injection, and packets still
+//     undelivered after the retry budget (16·(H+W) + 4·#packets
+//     cycles), or after a full slow period in which nothing moved, are
+//     lost too;
+//   - with a fault view installed (SetFaultView), each node routes on
+//     its gossip belief instead of f (DESIGN.md §13).
+//
+// Every cycle spent detouring or waiting is charged, so fault-induced
+// slowdown lands in the ledger like healthy routing cost. On an empty f
+// every routing decision, and so every delivery and cycle count, equals
+// the healthy routing's.
+//
+// In ModeEvent the loop alternates epoch-skip batches with sweeps;
+// skips are capped at the first off-beat fault hazard and at the
+// remaining budget, so blocked, waiting and detouring cycles run one by
+// one exactly as in ModeCycle, which sweeps every charged cycle.
+func (e *Engine[T]) Route(dst [][]T, r mesh.Region, items [][]T, dest func(T) int, wrap bool, f *fault.Map) (delivered [][]T, steps int64, lost int) {
 	m := e.m
-	sp := m.Ledger().Begin("greedy", trace.PhaseForward)
-	defer func() {
-		sp.Observe(steps)
-		sp.Exec(e.execs)
-		sp.End()
-	}()
-	if dst == nil {
-		dst = make([][]T, m.N)
-	}
-	delivered = dst
-	e.ensure(r)
-	//detlint:ignore checkederr healthy path injects with a nil fault map, so the lost count is structurally zero
-	active, _ := e.inject(delivered, r, items, dest, topo, nil)
-	sp.AddPackets(int64(len(e.val)))
-	e.haz = e.haz[:0]
-	useEvent := e.mode == ModeEvent && m.Side < engMaxEventSide
-	contested := false
-	for active > 0 {
-		if useEvent && !contested {
-			if k, sem := e.skipHorizon(r, wrap, false, steps, 1<<62); k > 0 {
-				e.execs++
-				steps += int64(k)
-				active -= e.batchAdvance(delivered, r, wrap, false, k)
-				contested = sem
-				continue
-			}
-			contested = true
+	var topo topology = meshTopo{m}
+	if wrap {
+		if r != m.Full() {
+			panic(fmt.Sprintf("route: wrap-around routing needs the full machine, got region %v", r))
 		}
-		steps++
-		e.execs++
-		shards, total := e.sweep(r, topo, wrap, false, steps, active)
-		if total == 0 {
-			panic("route: greedy router stalled with active packets")
-		}
-		active -= e.merge(delivered, r, topo, wrap, false, shards)
-		// A contested sweep does not gate the next horizon attempt: the
-		// loser of a selection is often alone next cycle, and a doomed
-		// attempt exits early on its t=0 dup-direction check (a zero
-		// horizon always has a co-located same-direction pair), so the
-		// optimistic retry costs little and converts whole tails of
-		// contention episodes into batches.
-		contested = false
+		topo = torusTopo{m}
 	}
-	e.cleanup()
-	return delivered, steps
-}
-
-// routeFault is the fault-aware loop shared by RouteFault and
-// RouteTorusFault: identical to route but consulting the machine's
-// fault map — detours, slow-link waits, the bounded retry budget
-// (16·(H+W) + 4·#packets cycles) and the wedge break after a full slow
-// period of silence. Every cycle spent detouring or waiting is a
-// charged machine step. With a nil (or empty) fault map it makes
-// bit-identical decisions to route. In ModeEvent, epoch skips are
-// additionally capped at the first off-beat hazard crossing and at the
-// remaining budget, so blocked, waiting and detouring cycles run one
-// by one exactly as in ModeCycle.
-func (e *Engine[T]) routeFault(dst [][]T, r mesh.Region, items [][]T, dest func(T) int, topo topology, wrap bool) (delivered [][]T, steps int64, lost int) {
-	m := e.m
-	f := m.Faults()
 	sp := m.Ledger().Begin("greedy", trace.PhaseForward)
 	defer func() {
 		sp.Observe(steps)
@@ -1585,15 +1526,10 @@ func (e *Engine[T]) routeFault(dst [][]T, r mesh.Region, items [][]T, dest func(
 	sp.AddPackets(int64(len(e.val)))
 	e.hbuf = f.AppendLinkHazards(e.hbuf)
 	e.haz = e.haz[:0]
-	for _, hz := range e.hbuf {
-		e.haz = append(e.haz, engHazard{
-			ar: int32(m.RowOf(hz.A)), ac: int32(m.ColOf(hz.A)),
-			br: int32(m.RowOf(hz.B)), bc: int32(m.ColOf(hz.B)),
-			delay: int32(hz.Delay),
-		})
-	}
+	e.appendHazards()
 
-	if e.view != nil {
+	local := f != nil && e.view != nil
+	if local {
 		// Per-slot probe state for this call's slab, zeroed.
 		n := len(e.val)
 		if cap(e.ptry) < n {
@@ -1610,7 +1546,10 @@ func (e *Engine[T]) routeFault(dst [][]T, r mesh.Region, items [][]T, dest func(
 		e.hazLog = -1 // truth changed since last call: rebuild the union
 	}
 
-	budget := int64(16*(r.H+r.W) + 4*active)
+	budget := int64(1) << 62
+	if f != nil {
+		budget = int64(16*(r.H+r.W) + 4*active)
+	}
 	maxDelay := int64(f.MaxDelay())
 	idle := int64(0)
 	useEvent := e.mode == ModeEvent && m.Side < engMaxEventSide
@@ -1622,15 +1561,15 @@ func (e *Engine[T]) routeFault(dst [][]T, r mesh.Region, items [][]T, dest func(
 		// cycle). Once quiet, live beliefs are frozen at the full log and
 		// the truth∪belief hazard union makes free-running sound; the
 		// skipped rounds are provably no-op exchanges (AdvanceRounds).
-		if useEvent && !contested && (e.view == nil || e.view.Quiet()) {
-			if e.view != nil {
+		if useEvent && !contested && (!local || e.view.Quiet()) {
+			if local {
 				e.localHazards(f)
 			}
-			if k, sem := e.skipHorizon(r, wrap, true, steps, budget-steps); k > 0 {
+			if k, sem := e.skipHorizon(r, wrap, f, steps, budget-steps); k > 0 {
 				e.execs++
 				steps += int64(k)
-				active -= e.batchAdvance(delivered, r, wrap, true, k)
-				if e.view != nil {
+				active -= e.batchAdvance(delivered, r, wrap, f, k)
+				if local {
 					e.view.AdvanceRounds(int64(k))
 				}
 				contested = sem
@@ -1641,12 +1580,15 @@ func (e *Engine[T]) routeFault(dst [][]T, r mesh.Region, items [][]T, dest func(
 		}
 		steps++
 		e.execs++
-		shards, total := e.sweep(r, topo, wrap, true, steps, active)
+		shards, total := e.sweep(r, topo, wrap, f, steps, active)
 		if total == 0 {
+			if f == nil {
+				panic("route: greedy router stalled with active packets")
+			}
 			// Nothing moved. With slow links a packet may be waiting for
 			// its cycle; after a full slow period of silence the network
 			// is provably wedged and the survivors are lost.
-			if e.view != nil {
+			if local {
 				dropped, waiting := e.flushLocal(shards, f)
 				lost += dropped
 				active -= dropped
@@ -1664,13 +1606,19 @@ func (e *Engine[T]) routeFault(dst [][]T, r mesh.Region, items [][]T, dest func(
 			continue
 		}
 		idle = 0
-		active -= e.merge(delivered, r, topo, wrap, true, shards)
-		if e.view != nil {
+		active -= e.merge(delivered, r, topo, wrap, f, shards)
+		if local {
 			dropped, _ := e.flushLocal(shards, f)
 			lost += dropped
 			active -= dropped
 		}
-		contested = e.lastContested
+		// On a healthy mesh a contested sweep does not gate the next
+		// horizon attempt: the loser of a selection is often alone next
+		// cycle, and a doomed attempt exits early on its t=0
+		// dup-direction check (a zero horizon always has a co-located
+		// same-direction pair), so the optimistic retry costs little and
+		// converts whole tails of contention episodes into batches.
+		contested = f != nil && e.lastContested
 	}
 	lost += active // budget exhausted or wedged: survivors are dropped
 	e.cleanup()

@@ -64,6 +64,19 @@ func staticFaults(side int) *fault.Map {
 	return f
 }
 
+// faultMapFor returns the map a run routes on: nil for the healthy
+// path; for the fault path the machine's own map, or an empty one on a
+// healthy machine so the fault loop runs either way.
+func faultMapFor(m *mesh.Machine, faultPath bool) *fault.Map {
+	if !faultPath {
+		return nil
+	}
+	if f := m.Faults(); f != nil {
+		return f
+	}
+	return fault.NewMap(m.Side)
+}
+
 // engineRun holds everything one routing call produced that bit-identity
 // quantifies over.
 type engineRun struct {
@@ -95,17 +108,11 @@ func runEngine(t *testing.T, workers int, withFaults, torus, faultPath bool, r f
 	work := items(m)
 	dest := func(v item) int { return v.dest }
 
-	var run engineRun
-	switch {
-	case faultPath && torus:
-		run.delivered, run.steps, run.lost = eng.RouteTorusFault(nil, work, dest)
-	case faultPath:
-		run.delivered, run.steps, run.lost = eng.RouteFault(nil, reg, work, dest)
-	case torus:
-		run.delivered, run.steps = eng.RouteTorus(nil, work, dest)
-	default:
-		run.delivered, run.steps = eng.Route(nil, reg, work, dest)
+	if torus {
+		reg = m.Full()
 	}
+	var run engineRun
+	run.delivered, run.steps, run.lost = eng.Route(nil, reg, work, dest, torus, faultMapFor(m, faultPath))
 	sp := ld.Last()
 	if sp == nil {
 		t.Fatal("routing left no ledger span")
@@ -197,18 +204,16 @@ func TestEngineReuseMatchesFresh(t *testing.T) {
 		items func() [][]item
 	}{
 		{"mesh-full", func(e *Engine[item], it [][]item) ([][]item, int64, int) {
-			d, s := e.Route(nil, m.Full(), it, dest)
-			return d, s, 0
+			return e.Route(nil, m.Full(), it, dest, false, nil)
 		}, func() [][]item { return engineInstance("random", m, 1) }},
 		{"fault-sub", func(e *Engine[item], it [][]item) ([][]item, int64, int) {
-			return e.RouteFault(nil, sub, it, dest)
+			return e.Route(nil, sub, it, dest, false, m.Faults())
 		}, func() [][]item { return scatterItems(m, sub, 300, rng) }},
 		{"torus-fault", func(e *Engine[item], it [][]item) ([][]item, int64, int) {
-			return e.RouteTorusFault(nil, it, dest)
+			return e.Route(nil, m.Full(), it, dest, true, m.Faults())
 		}, func() [][]item { return engineInstance("transpose", m, 2) }},
 		{"mesh-full-again", func(e *Engine[item], it [][]item) ([][]item, int64, int) {
-			d, s := e.Route(nil, m.Full(), it, dest)
-			return d, s, 0
+			return e.Route(nil, m.Full(), it, dest, false, nil)
 		}, func() [][]item { return engineInstance("hotspot", m, 3) }},
 	}
 	for _, c := range calls {
@@ -233,8 +238,8 @@ func TestEngineReleaseKeepsIdentity(t *testing.T) {
 	dest := func(v item) int { return v.dest }
 	for round := 0; round < 3; round++ {
 		items := engineInstance("random", m, int64(10+round))
-		wantD, wantS, wantL := NewEngine[item](m).RouteFault(nil, m.Full(), cloneItems(items), dest)
-		gotD, gotS, gotL := shared.RouteFault(nil, m.Full(), items, dest)
+		wantD, wantS, wantL := NewEngine[item](m).Route(nil, m.Full(), cloneItems(items), dest, false, m.Faults())
+		gotD, gotS, gotL := shared.Route(nil, m.Full(), items, dest, false, m.Faults())
 		if wantS != gotS || wantL != gotL || !reflect.DeepEqual(wantD, gotD) {
 			t.Fatalf("round %d: released engine diverged from fresh (cycles %d vs %d, lost %d vs %d)",
 				round, gotS, wantS, gotL, wantL)

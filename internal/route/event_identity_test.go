@@ -38,16 +38,7 @@ func runEngineMode(t *testing.T, mode EngineMode, hsrc HorizonSource, workers in
 	dest := func(v item) int { return v.dest }
 
 	var run engineRun
-	switch {
-	case faultPath && torus:
-		run.delivered, run.steps, run.lost = eng.RouteTorusFault(nil, work, dest)
-	case faultPath:
-		run.delivered, run.steps, run.lost = eng.RouteFault(nil, m.Full(), work, dest)
-	case torus:
-		run.delivered, run.steps = eng.RouteTorus(nil, work, dest)
-	default:
-		run.delivered, run.steps = eng.Route(nil, m.Full(), work, dest)
-	}
+	run.delivered, run.steps, run.lost = eng.Route(nil, m.Full(), work, dest, torus, faultMapFor(m, faultPath))
 	sp := ld.Last()
 	if sp == nil {
 		t.Fatal("routing left no ledger span")
@@ -145,7 +136,7 @@ func TestEventExecutedBounded(t *testing.T) {
 				}
 			}
 			eng := NewEngine[int](m)
-			_, steps := eng.Route(nil, m.Full(), items, func(d int) int { return d })
+			_, steps, _ := eng.Route(nil, m.Full(), items, func(d int) int { return d }, false, nil)
 			if exec := eng.Executed(); exec > steps || exec <= 0 {
 				t.Errorf("%s-%d: executed %d outside (0, charged=%d]", kind, side, exec, steps)
 			}

@@ -65,7 +65,7 @@ func benchGreedyRoute(b *testing.B, side int, kind string, workers int) {
 		for p := range items {
 			items[p] = append(items[p][:0], dests[p]...)
 		}
-		_, steps = eng.Route(dst, full, items, ident)
+		_, steps, _ = eng.Route(dst, full, items, ident, false, nil)
 		for p := range dst {
 			dst[p] = dst[p][:0]
 		}

@@ -31,8 +31,8 @@ func TestFaultRouterEmptyMapIdentity(t *testing.T) {
 	for _, r := range []mesh.Region{m1.Full(), {R0: 1, C0: 1, H: 4, W: 3}} {
 		for trial := 0; trial < 8; trial++ {
 			items := scatterItems(m1, r, 60, rng)
-			healthy, hSteps := GreedyRoute(m1, r, cloneItems(items), func(v item) int { return v.dest })
-			faulty, fSteps, lost := GreedyRouteFaultInto(nil, m2, r, cloneItems(items), func(v item) int { return v.dest })
+			healthy, hSteps, _ := NewEngine[item](m1).Route(nil, r, cloneItems(items), func(v item) int { return v.dest }, false, nil)
+			faulty, fSteps, lost := NewEngine[item](m2).Route(nil, r, cloneItems(items), func(v item) int { return v.dest }, false, m2.Faults())
 			if lost != 0 {
 				t.Fatalf("region %v: empty map lost %d packets", r, lost)
 			}
@@ -46,8 +46,8 @@ func TestFaultRouterEmptyMapIdentity(t *testing.T) {
 	}
 	// Torus flavor.
 	items := scatterItems(m1, m1.Full(), 80, rng)
-	healthy, hSteps := GreedyRouteTorus(m1, cloneItems(items), func(v item) int { return v.dest })
-	faulty, fSteps, lost := GreedyRouteTorusFaultInto(nil, m2, cloneItems(items), func(v item) int { return v.dest })
+	healthy, hSteps, _ := NewEngine[item](m1).Route(nil, m1.Full(), cloneItems(items), func(v item) int { return v.dest }, true, nil)
+	faulty, fSteps, lost := NewEngine[item](m2).Route(nil, m2.Full(), cloneItems(items), func(v item) int { return v.dest }, true, m2.Faults())
 	if lost != 0 || hSteps != fSteps || !reflect.DeepEqual(healthy, faulty) {
 		t.Fatalf("torus: empty-map identity broken (lost=%d, %d vs %d cycles)", lost, hSteps, fSteps)
 	}
@@ -66,7 +66,7 @@ func TestFaultRouterDetour(t *testing.T) {
 	m.SetFaults(f)
 	items := make([][]item, m.N)
 	items[0] = []item{{dest: 4, id: 1}}
-	delivered, steps, lost := GreedyRouteFaultInto(nil, m, m.Full(), items, func(v item) int { return v.dest })
+	delivered, steps, lost := NewEngine[item](m).Route(nil, m.Full(), items, func(v item) int { return v.dest }, false, m.Faults())
 	if lost != 0 {
 		t.Fatalf("lost %d packets around a detourable cut", lost)
 	}
@@ -92,7 +92,7 @@ func TestFaultRouterDoubleCutDrops(t *testing.T) {
 	m.SetFaults(f)
 	items := make([][]item, m.N)
 	items[0] = []item{{dest: 4, id: 1}}
-	delivered, steps, lost := GreedyRouteFaultInto(nil, m, m.Full(), items, func(v item) int { return v.dest })
+	delivered, steps, lost := NewEngine[item](m).Route(nil, m.Full(), items, func(v item) int { return v.dest }, false, m.Faults())
 	if lost != 1 {
 		t.Errorf("lost = %d, want 1 (double cut defeats local detouring)", lost)
 	}
@@ -113,7 +113,7 @@ func TestFaultRouterDeadDestination(t *testing.T) {
 	m.SetFaults(f)
 	items := make([][]item, m.N)
 	items[0] = []item{{dest: 15, id: 1}, {dest: 5, id: 2}}
-	delivered, _, lost := GreedyRouteFaultInto(nil, m, m.Full(), items, func(v item) int { return v.dest })
+	delivered, _, lost := NewEngine[item](m).Route(nil, m.Full(), items, func(v item) int { return v.dest }, false, m.Faults())
 	if lost != 1 {
 		t.Errorf("lost = %d, want 1 (the dead-destination packet)", lost)
 	}
@@ -131,14 +131,14 @@ func TestFaultRouterSlowLink(t *testing.T) {
 		items[0] = []item{{dest: 3, id: 1}}
 		return items
 	}
-	_, base, lost0 := GreedyRouteFaultInto(nil, m, m.Full(), healthyItems(), func(v item) int { return v.dest })
+	_, base, lost0 := NewEngine[item](m).Route(nil, m.Full(), healthyItems(), func(v item) int { return v.dest }, false, nil)
 	if lost0 != 0 {
 		t.Fatal("healthy run lost packets")
 	}
 	f := fault.NewMap(4)
 	f.SlowLink(1, 2, 4)
 	m.SetFaults(f)
-	delivered, slow, lost := GreedyRouteFaultInto(nil, m, m.Full(), healthyItems(), func(v item) int { return v.dest })
+	delivered, slow, lost := NewEngine[item](m).Route(nil, m.Full(), healthyItems(), func(v item) int { return v.dest }, false, m.Faults())
 	m.SetFaults(nil)
 	if lost != 0 || len(delivered[3]) != 1 {
 		t.Fatalf("slow link lost the packet (lost=%d)", lost)
@@ -162,11 +162,45 @@ func TestFaultRouterWalledIn(t *testing.T) {
 	m.SetFaults(f)
 	items := make([][]item, m.N)
 	items[0] = []item{{dest: 5, id: 1}, {dest: 10, id: 2}}
-	delivered, _, lost := GreedyRouteFaultInto(nil, m, m.Full(), items, func(v item) int { return v.dest })
+	delivered, _, lost := NewEngine[item](m).Route(nil, m.Full(), items, func(v item) int { return v.dest }, false, m.Faults())
 	if lost != 1 {
 		t.Errorf("lost = %d, want 1 (the walled-in destination)", lost)
 	}
 	if len(delivered[10]) != 1 {
 		t.Errorf("reachable packet not delivered")
+	}
+}
+
+// TestSortInternalRoutingIgnoresMachineFaults pins the explicit
+// fault-map contract of Engine.Route: only the map passed in is
+// consulted. RotateSort's row rotations and staged routing pass nil, so
+// installing dead and slow links on the machine must leave their
+// output and step counts exactly as on a healthy machine.
+func TestSortInternalRoutingIgnoresMachineFaults(t *testing.T) {
+	healthy, faulted := mesh.MustNew(9), mesh.MustNew(9)
+	f := fault.NewMap(9)
+	for row := 0; row < 9; row++ {
+		f.KillLink(row*9+3, row*9+4) // cuts every row's rotation path
+	}
+	f.KillLink(4*9+6, 5*9+6)
+	f.SlowLink(7*9+1, 7*9+2, 3)
+	faulted.SetFaults(f)
+	key := func(v item) uint64 { return v.key }
+	dest := func(v item) int { return v.dest }
+	for seed := int64(0); seed < 4; seed++ {
+		mk := func(m *mesh.Machine) [][]item {
+			return scatterItems(m, m.Full(), 2*m.N, rand.New(rand.NewSource(seed)))
+		}
+		wantOut, wantL, wantSteps := SortSnakeWith(RotateSort, healthy, healthy.Full(), mk(healthy), key)
+		gotOut, gotL, gotSteps := SortSnakeWith(RotateSort, faulted, faulted.Full(), mk(faulted), key)
+		if gotSteps != wantSteps || gotL != wantL || !reflect.DeepEqual(gotOut, wantOut) {
+			t.Fatalf("seed %d: RotateSort on a faulted machine: %d steps (L=%d), healthy %d (L=%d)",
+				seed, gotSteps, gotL, wantSteps, wantL)
+		}
+		wantDel, wantCost := RouteStaged(healthy, healthy.Full(), 3, 9, mk(healthy), dest)
+		gotDel, gotCost := RouteStaged(faulted, faulted.Full(), 3, 9, mk(faulted), dest)
+		if gotCost != wantCost || !reflect.DeepEqual(gotDel, wantDel) {
+			t.Fatalf("seed %d: RouteStaged on a faulted machine: cost %+v, healthy %+v", seed, gotCost, wantCost)
+		}
 	}
 }

@@ -89,6 +89,7 @@ func sortSnakeRotate[T any](m *mesh.Machine, r mesh.Region, items [][]T, key Key
 	blocks := loadBlocks(m, r, items, key, L)
 	side := r.H
 	v := isqrt(side)
+	eng := NewEngine[rotPkt[T]](m)
 
 	rowAsc := func(j int) []int {
 		line := make([]int, r.W)
@@ -138,7 +139,8 @@ func sortSnakeRotate[T any](m *mesh.Machine, r mesh.Region, items [][]T, key Key
 						pkts[src] = append(pkts[src], rotPkt[T]{e, dst})
 					}
 				}
-				delivered, cost := GreedyRoute(m, line, pkts, func(p rotPkt[T]) int { return p.d })
+				delivered, cost, lost := eng.Route(nil, line, pkts, func(p rotPkt[T]) int { return p.d }, false, nil)
+				mustDeliverAll(lost)
 				if cost > maxCost {
 					maxCost = cost
 				}

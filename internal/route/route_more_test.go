@@ -52,7 +52,7 @@ func TestRouteStagedSinglePart(t *testing.T) {
 	}
 }
 
-// Property: GreedyRoute delivers every packet exactly once, regardless
+// Property: healthy Engine.Route delivers every packet exactly once, regardless
 // of load distribution.
 func TestQuickGreedyRouteConservation(t *testing.T) {
 	m := mesh.MustNew(6)
@@ -68,7 +68,7 @@ func TestQuickGreedyRouteConservation(t *testing.T) {
 			items[src] = append(items[src], item{dest: dst, id: i})
 			want[dst]++
 		}
-		delivered, _ := GreedyRoute(m, r, items, func(v item) int { return v.dest })
+		delivered, _, _ := NewEngine[item](m).Route(nil, r, items, func(v item) int { return v.dest }, false, nil)
 		got := 0
 		for p := range delivered {
 			for _, v := range delivered[p] {
@@ -102,8 +102,8 @@ func TestGreedyRouteDeterministic(t *testing.T) {
 		return items
 	}
 	_ = rng
-	d1, s1 := GreedyRoute(m, m.Full(), mk(), func(v item) int { return v.dest })
-	d2, s2 := GreedyRoute(m, m.Full(), mk(), func(v item) int { return v.dest })
+	d1, s1, _ := NewEngine[item](m).Route(nil, m.Full(), mk(), func(v item) int { return v.dest }, false, nil)
+	d2, s2, _ := NewEngine[item](m).Route(nil, m.Full(), mk(), func(v item) int { return v.dest }, false, nil)
 	if s1 != s2 {
 		t.Fatalf("steps %d vs %d", s1, s2)
 	}
@@ -129,7 +129,7 @@ func TestGreedyRoutePermutationEfficiency(t *testing.T) {
 		for p := 0; p < m.N; p++ {
 			items[p] = append(items[p], item{dest: perm[p], id: p})
 		}
-		_, steps := GreedyRoute(m, m.Full(), items, func(v item) int { return v.dest })
+		_, steps, _ := NewEngine[item](m).Route(nil, m.Full(), items, func(v item) int { return v.dest }, false, nil)
 		// Greedy on random permutations is known to finish in
 		// 2·side + o(side) with overwhelming probability; allow 4×.
 		if steps > int64(4*2*m.Side) {

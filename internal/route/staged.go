@@ -1,6 +1,8 @@
 package route
 
 import (
+	"fmt"
+
 	"meshpram/internal/mesh"
 	"meshpram/internal/trace"
 )
@@ -76,7 +78,8 @@ func RouteL1L2[T any](m *mesh.Machine, r mesh.Region, items [][]T, dest func(T) 
 	})
 	sorted, _, sortSteps := SortSnakeFast(m, r, wrapped, func(p destPkt[T]) uint64 { return uint64(p.d) })
 	cost.Sort = sortSteps
-	routed, routeSteps := GreedyRoute(m, r, sorted, func(p destPkt[T]) int { return p.d })
+	routed, routeSteps, lost := NewEngine[destPkt[T]](m).Route(nil, r, sorted, func(p destPkt[T]) int { return p.d }, false, nil)
+	mustDeliverAll(lost)
 	cost.Fine = routeSteps
 
 	delivered = make([][]T, m.N)
@@ -138,14 +141,17 @@ func RouteStaged[T any](m *mesh.Machine, r mesh.Region, q, parts int, items [][]
 	rankSp.End()
 
 	// Coarse phase: route to balanced intermediate positions.
-	coarse, coarseSteps := GreedyRoute(m, r, sorted, func(p stagedPkt[T]) int { return p.inter })
+	eng := NewEngine[stagedPkt[T]](m)
+	coarse, coarseSteps, lost := eng.Route(nil, r, sorted, func(p stagedPkt[T]) int { return p.inter }, false, nil)
+	mustDeliverAll(lost)
 	cost.Coarse = coarseSteps
 
 	// Fine phase: within each submesh, in parallel; charge the maximum.
 	delivered = make([][]T, m.N)
 	var maxFine int64
 	for _, sub := range subs {
-		fine, fineSteps := GreedyRoute(m, sub, coarse, func(p stagedPkt[T]) int { return p.d })
+		fine, fineSteps, lost := eng.Route(nil, sub, coarse, func(p stagedPkt[T]) int { return p.d }, false, nil)
+		mustDeliverAll(lost)
 		if fineSteps > maxFine {
 			maxFine = fineSteps
 		}
@@ -157,6 +163,15 @@ func RouteStaged[T any](m *mesh.Machine, r mesh.Region, q, parts int, items [][]
 	}
 	cost.Fine = maxFine
 	return delivered, cost
+}
+
+// mustDeliverAll panics when a healthy Route call (nil fault map)
+// reports lost packets: that loop panics on a stall rather than drop a
+// packet, so a nonzero count is a router bug, never a fault.
+func mustDeliverAll(lost int) {
+	if lost != 0 {
+		panic(fmt.Sprintf("route: healthy routing lost %d packets", lost))
+	}
 }
 
 // forRegion invokes fn for every processor id in the region, row-major.

@@ -83,7 +83,7 @@ func TestGreedyRouteTorusDelivers(t *testing.T) {
 			want[d]++
 		}
 	}
-	delivered, steps := GreedyRouteTorus(m, items, func(v item) int { return v.dest })
+	delivered, steps, _ := NewEngine[item](m).Route(nil, m.Full(), items, func(v item) int { return v.dest }, true, nil)
 	for p := 0; p < m.N; p++ {
 		if len(delivered[p]) != want[p] {
 			t.Fatalf("proc %d received %d, want %d", p, len(delivered[p]), want[p])
@@ -109,8 +109,8 @@ func TestTorusBeatsMeshOnLongHaul(t *testing.T) {
 		}
 		return items
 	}
-	_, meshSteps := GreedyRoute(m, m.Full(), mk(), func(v item) int { return v.dest })
-	_, torusSteps := GreedyRouteTorus(m, mk(), func(v item) int { return v.dest })
+	_, meshSteps, _ := NewEngine[item](m).Route(nil, m.Full(), mk(), func(v item) int { return v.dest }, false, nil)
+	_, torusSteps, _ := NewEngine[item](m).Route(nil, m.Full(), mk(), func(v item) int { return v.dest }, true, nil)
 	if torusSteps >= meshSteps {
 		t.Fatalf("torus (%d) not faster than mesh (%d) on antipodal traffic", torusSteps, meshSteps)
 	}
